@@ -48,8 +48,6 @@ Engine::Engine(net::Network& net, gmp::Controller& controller,
       capacityPps_{baselines::nominalLinkCapacityPps(net.config().mac,
                                                      net.config().packetSize)} {
   MAXMIN_CHECK(cfg_.enabled());
-  MAXMIN_CHECK_MSG(!net_.sharded(),
-                   "hybrid engine needs the serial event loop (no --shards)");
   if (cfg_.background) {
     MAXMIN_CHECK_MSG(net_.faultPlane() == nullptr,
                      "fluid background load is incompatible with faults");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <ostream>
+#include <string_view>
 #include <vector>
 
 namespace maxmin::obs {
@@ -19,10 +20,14 @@ std::atomic<bool>& Profiler::enabledFlag() {
 
 SiteId Profiler::site(const char* name) {
   // Linear probe over the registered prefix: registration happens once
-  // per static site, so O(sites) here is irrelevant.
-  const int n = siteCount_.load(std::memory_order_acquire);
+  // per static site, so O(sites) here is irrelevant. Names match by
+  // content, so a lookup from another translation unit (or from a
+  // runtime string) finds the site its literal registered.
+  const std::string_view wanted{name};
+  const int n = std::min(siteCount_.load(std::memory_order_acquire),
+                         static_cast<int>(kMaxSites));
   for (int i = 0; i < n; ++i) {
-    if (sites_[i].name == name) return i;
+    if (sites_[i].name != nullptr && sites_[i].name == wanted) return i;
   }
   const int id = siteCount_.fetch_add(1, std::memory_order_acq_rel);
   if (id >= kMaxSites) return kMaxSites - 1;  // overflow bucket

@@ -40,8 +40,10 @@ class Profiler {
     enabledFlag().store(on, std::memory_order_relaxed);
   }
 
-  /// Register a site (idempotent per name); returns its stable id.
-  /// `name` must be a string literal or otherwise outlive the profiler.
+  /// Register a site (idempotent per name, compared by content); returns
+  /// its stable id. The first registration's `name` must be a string
+  /// literal or otherwise outlive the profiler; later lookups may pass
+  /// any buffer holding the same text.
   SiteId site(const char* name);
 
   void record(SiteId id, std::int64_t nanos) {

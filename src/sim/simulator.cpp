@@ -11,7 +11,18 @@ namespace maxmin::sim {
 // Sorted insert at or beyond the run cursor. The key was just issued, so
 // its seq is the largest outstanding; upper_bound on (when, seq) therefore
 // lands after every pending key at the same instant, preserving FIFO.
+// A run that keeps absorbing new keys (self-rescheduling chains shorter
+// than the bucket width) is never spent, so the popped prefix
+// [0, runPos_) is dropped once it is at least half the run: that keeps
+// the run O(pending) and, since the moved suffix is no longer than the
+// dropped prefix, costs amortized O(1) per pop. Relative order of the
+// live keys is untouched.
 void Simulator::insertIntoRun(const Key& key) {
+  if (runPos_ >= kTrimMinPopped && 2 * runPos_ >= run_.size()) {
+    run_.erase(run_.begin(),
+               run_.begin() + static_cast<std::ptrdiff_t>(runPos_));
+    runPos_ = 0;
+  }
   const auto it = std::upper_bound(
       run_.begin() + static_cast<std::ptrdiff_t>(runPos_), run_.end(), key,
       earlier);

@@ -22,7 +22,8 @@ FlowSpec makeFlow(FlowId id, topo::NodeId src, topo::NodeId dst,
   f.dst = dst;
   f.weight = weight;
   f.desiredRate = PacketRate::perSecond(rate);
-  f.name = "f" + std::to_string(id);
+  f.name = "f";
+  f.name.append(std::to_string(id));
   return f;
 }
 

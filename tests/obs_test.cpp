@@ -8,6 +8,7 @@
 #include <locale>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -301,6 +302,13 @@ TEST_F(ObsTest, ProfilerSitesAreIdempotent) {
   const obs::SiteId a = p.site("obs_test.site_a");
   EXPECT_EQ(p.site("obs_test.site_a"), a);
   EXPECT_NE(p.site("obs_test.site_b"), a);
+}
+
+TEST_F(ObsTest, ProfilerSitesMatchByContentNotPointer) {
+  auto& p = obs::Profiler::global();
+  const obs::SiteId a = p.site("obs_test.same_text");
+  const std::string copy{"obs_test.same_text"};
+  EXPECT_EQ(p.site(copy.c_str()), a);
 }
 
 TEST_F(ObsTest, ScopedProfileRecordsOnlyWhenEnabled) {

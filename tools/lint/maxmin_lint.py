@@ -2,8 +2,8 @@
 """maxmin_lint — project static analysis for the maxmin repo.
 
 The GMP maxmin guarantee rests on determinism invariants the compiler
-cannot see, and the sharded-PDES roadmap adds concurrency-readiness
-invariants TSan can only check at runtime. This package encodes both as
+cannot see, and exp::SweepRunner's concurrent workers add
+concurrency-readiness invariants TSan can only check at runtime. This package encodes both as
 mechanical rules (catalog with bug history: DESIGN.md §10):
 
   pattern rules (rules.py, matched over token-stripped lines):

@@ -1,9 +1,10 @@
 """shared_state — mutable-static inventory against an audited manifest.
 
-The sharded-PDES roadmap item puts region workers inside one simulation;
-at that point every namespace-scope or function-local mutable ``static``
-(and every singleton behind one) is a candidate data race, and every one
-that feeds results is a determinism hazard. This rule makes the set of
+``exp::SweepRunner`` runs whole simulations concurrently, one per worker
+thread, in one process; every namespace-scope or function-local mutable
+``static`` (and every singleton behind one) is therefore shared by all
+workers, a candidate data race, and — if it feeds results — a
+determinism hazard. This rule makes the set of
 such objects *finite and deliberate*: the token scanner enumerates every
 mutable static in ``src/``, and each must appear in the checked-in
 manifest ``tools/lint/shared_state.toml`` with an owner note and a
@@ -25,8 +26,8 @@ What counts as mutable static state (token-level classification):
 this classifier; the repo spells genuinely-mutable pointers without const
 and the conservative direction here is noise-free. ``thread_local`` is
 classified the same as ``static`` — per-thread copies still break the
-"outcome independent of worker count" bar when workers are sharded by
-region rather than by run.
+"outcome independent of worker count" bar once a worker carries state
+from one run into the next.
 """
 
 from __future__ import annotations

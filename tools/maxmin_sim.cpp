@@ -30,7 +30,6 @@
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 #include "scenarios/scenarios.hpp"
-#include "topology/shard_map.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -57,7 +56,6 @@ struct Options {
   std::string impairScope = "all";
   std::string trace;      // JSONL trace output path; empty = no tracing
   std::string traceLevel = "period";  // period|event
-  int shards = 0;         // sharded PDES worker lanes; 0 = serial loop
   bool fastForward = false;  // fluid fast-forward before t=0
   double ffTol = 0.02;       // fast-forward convergence tolerance
   bool hybrid = false;       // fluid background load (needs --foreground)
@@ -94,10 +92,6 @@ struct Options {
       << "  --trace FILE        write a structured JSONL trace of every GMP\n"
       << "                      period (fixed seed => byte-identical file)\n"
       << "  --trace-level  period|event        trace granularity (default period)\n"
-      << "  --shards K  run the physical layer on K parallel shard workers\n"
-      << "              (capped by topology width; any K, including 1, is\n"
-      << "              bit-identical to any other K; incompatible with\n"
-      << "              --per/--ge)\n"
       << "  --fast-forward      iterate the fluid GMP fixed point before t=0\n"
       << "                      and start the packet run inside its basin\n"
       << "                      (gmp only; see DESIGN.md §16)\n"
@@ -106,7 +100,7 @@ struct Options {
       << "  --hybrid            advance all non-foreground flows with the\n"
       << "                      fluid solver, re-linearized each GMP period;\n"
       << "                      needs --foreground (gmp only; incompatible\n"
-      << "                      with --shards/--faults/--per/--ge)\n"
+      << "                      with --faults/--per/--ge)\n"
       << "  --foreground LIST   packet-simulated flows under --hybrid: flow\n"
       << "                      ids like \"0,3\", or auto:K for the first K\n"
       << "  --profile   print per-callback-site wall-time histograms\n"
@@ -170,8 +164,6 @@ Options parse(int argc, char** argv) {
       o.trace = value();
     } else if (arg == "--trace-level") {
       o.traceLevel = value();
-    } else if (arg == "--shards") {
-      o.shards = std::stoi(value());
     } else if (arg == "--fast-forward") {
       o.fastForward = true;
     } else if (arg == "--ff-tol") {
@@ -195,6 +187,7 @@ Options parse(int argc, char** argv) {
     } else if (arg == "--chaos-canary") {
       o.chaosCanary = true;
     } else {
+      std::cerr << "unknown option '" << arg << "'\n";
       usage(argv[0]);
     }
   }
@@ -488,16 +481,6 @@ int main(int argc, char** argv) {
   }
   if (!options.faults.empty()) cfg.faults = loadFaultScript(options.faults);
   cfg.netBase.impairments = makeImpairments(options);
-  if (options.shards < 0) {
-    std::cerr << "--shards must be non-negative\n";
-    return 2;
-  }
-  if (options.shards > 0 && cfg.netBase.impairments.enabled()) {
-    std::cerr << "--shards is incompatible with --per/--ge (channel "
-                 "impairments draw from one serial RNG stream)\n";
-    return 2;
-  }
-  cfg.netBase.shards = options.shards;
 
   cfg.hybrid.fastForward = options.fastForward;
   cfg.hybrid.ffTol = options.ffTol;
@@ -510,11 +493,6 @@ int main(int argc, char** argv) {
     if (cfg.protocol != analysis::Protocol::kGmp) {
       std::cerr << "--fast-forward/--hybrid drive the GMP controller; "
                    "use --protocol gmp\n";
-      return 2;
-    }
-    if (options.shards > 0) {
-      std::cerr << "--fast-forward/--hybrid need the serial event loop; "
-                   "drop --shards\n";
       return 2;
     }
     if (options.ffTol <= 0.0) {
@@ -537,17 +515,6 @@ int main(int argc, char** argv) {
     cfg.hybrid.foreground = parseForeground(options.foreground, scenario);
   }
 
-  if (options.shards > 0) {
-    // Diagnostic on stderr (CSV on stdout stays clean): the carved strip
-    // count is what speedup is bounded by, not the requested K.
-    const topo::ShardPlan plan =
-        topo::makeShardPlan(scenario.topology, options.shards);
-    std::int64_t cutNodes = 0;
-    for (const auto c : plan.cut) cutNodes += c;
-    std::cerr << "shards: requested " << options.shards << ", carved "
-              << plan.numShards << " strips, " << cutNodes << " cut nodes, "
-              << plan.cutEdges << " cut cs-edges\n";
-  }
   cfg.trace = trace.get();
 
   if (options.sweep) return runSweep(scenario, cfg, options);
